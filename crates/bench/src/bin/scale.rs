@@ -23,8 +23,6 @@ use nrlt_core::analysis::analyze_view;
 use nrlt_core::engineprof::RunProf;
 use nrlt_core::measure_sys::{measure_prepared_spilled, prepare_measure, BYTES_PER_EVENT};
 use nrlt_core::prelude::*;
-use nrlt_core::telemetry::sample::{self, frames};
-use nrlt_core::trace::{MergedEvents, TraceView};
 use nrlt_core::{exec_config_for, measure_config_for};
 use nrlt_miniapps::{
     LuleshConfig, LuleshCosts, MiniFeConfig, MiniFeCosts, TeaLeafConfig, TeaLeafCosts,
@@ -119,29 +117,8 @@ fn measure_and_render(
     );
     let view = trace.view();
     let profile = analyze_view(&view, &AnalysisConfig::default(), h.telemetry(), None);
-    let merged = merged_event_count(&view, prof_run);
-    assert_eq!(merged, view.total_events() as u64, "k-way merge must visit every recorded event");
     let rendered = nrlt_core::profile::metric_table(&profile, 0.0);
     (rendered, view.total_events() as u64, result.events)
-}
-
-/// Stream every location through the k-way merge — the cross-location
-/// access pattern out-of-core passes use — and report heap KPIs.
-fn merged_event_count(view: &TraceView<'_>, prof_run: Option<&RunProf>) -> u64 {
-    let _frame = sample::frame(frames::ANALYZE_MERGE);
-    let mut merged = MergedEvents::new(view.all_events());
-    let mut n = 0u64;
-    let mut prev = 0u64;
-    for (_loc, ev) in merged.by_ref() {
-        debug_assert!(ev.time >= prev, "merge must be time-ordered");
-        prev = ev.time;
-        n += 1;
-    }
-    if let Some(p) = prof_run {
-        p.gauge("merge.heap_occupancy", "analyze_merge", merged.max_heap_occupancy() as i64);
-        p.hwm("merge.events", n);
-    }
-    n
 }
 
 fn main() {

@@ -255,15 +255,56 @@ pub struct RunData {
     pub dropped_waits: u64,
 }
 
-impl RunData {
+/// Per-rank prefix-sum index over a run's retained noise draws, for
+/// joining many time windows against them: built once in O(draws · log
+/// draws), each [`NoiseWindows::noise_in_window`] query is two binary
+/// searches. An owned snapshot — draws recorded after it was taken are
+/// not in it.
+#[derive(Debug)]
+pub struct NoiseWindows {
+    /// Per rank: `(t_ns, sum of positive magnitudes of this and every
+    /// earlier entry)`, sorted by `t_ns`.
+    ranks: Vec<Vec<(u64, u64)>>,
+}
+
+impl NoiseWindows {
+    fn build(draws: &[RawDraw]) -> NoiseWindows {
+        let mut ranks: Vec<Vec<(u64, u64)>> = Vec::new();
+        for d in draws {
+            let r = d.rank as usize;
+            if ranks.len() <= r {
+                ranks.resize_with(r + 1, Vec::new);
+            }
+            ranks[r].push((d.t_ns, d.magnitude_ns.max(0) as u64));
+        }
+        // Only the order of distinct times matters to a window sum:
+        // draws sharing a `t_ns` are always in or out of a window
+        // together, and the running sums are exact integer adds.
+        for entries in &mut ranks {
+            entries.sort_unstable_by_key(|&(t, _)| t);
+            let mut total = 0u64;
+            for e in entries.iter_mut() {
+                total += e.1;
+                e.1 = total;
+            }
+        }
+        NoiseWindows { ranks }
+    }
+
     /// Sum of positive noise magnitudes injected into `rank` with start
-    /// time inside `[from_ns, to_ns]`.
+    /// time inside the inclusive window `[from_ns, to_ns]` (0 when the
+    /// window is empty or the rank drew nothing).
     pub fn noise_in_window(&self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
-        self.draws
-            .iter()
-            .filter(|d| d.rank == rank && d.t_ns >= from_ns && d.t_ns <= to_ns)
-            .map(|d| d.magnitude_ns.max(0) as u64)
-            .sum()
+        let Some(entries) = self.ranks.get(rank as usize) else {
+            return 0;
+        };
+        let lo = entries.partition_point(|&(t, _)| t < from_ns);
+        let hi = entries.partition_point(|&(t, _)| t <= to_ns);
+        if hi <= lo {
+            return 0;
+        }
+        let before = if lo == 0 { 0 } else { entries[lo - 1].1 };
+        entries[hi - 1].1 - before
     }
 }
 
@@ -406,12 +447,11 @@ impl RawRun {
         self.draw_pos += 1;
     }
 
-    fn noise_in_window(&self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
-        self.draws
-            .iter()
-            .filter(|d| d.rank == rank && d.t_ns >= from_ns && d.t_ns <= to_ns)
-            .map(|d| d.magnitude_ns.max(0) as u64)
-            .sum()
+    fn add_wait_agg(&mut self, metric: &str, waiter_path: &str, severity: u64, noise_ns: u64) {
+        let agg = self.wait_aggs.entry((metric.to_owned(), waiter_path.to_owned())).or_default();
+        agg.count += 1;
+        agg.severity += severity;
+        agg.noise_ns += noise_ns;
     }
 
     /// Keep the top [`WAIT_CAP`] waits per metric by (severity desc,
@@ -520,6 +560,30 @@ impl RawRun {
             dropped_waits: self.dropped_waits,
         }
     }
+}
+
+/// Which waits of a batch, given as `(metric, severity)` in recording
+/// order, can still be among the [`WAIT_CAP`] kept for their metric at
+/// compaction. The rest are certain to be dropped whatever else the run
+/// records: each has `WAIT_CAP` waits of its metric in the same batch
+/// that rank before it (more severe, or as severe and recorded earlier).
+/// Recorders build full provenance only for the candidates and report
+/// the rest through [`RunObserve::wait_dropped`].
+pub fn wait_cap_candidates<'a>(batch: impl Iterator<Item = (&'a str, u64)>) -> Vec<bool> {
+    let mut order: Vec<(&str, std::cmp::Reverse<u64>, usize)> = batch
+        .enumerate()
+        .map(|(i, (metric, severity))| (metric, std::cmp::Reverse(severity), i))
+        .collect();
+    let mut keep = vec![false; order.len()];
+    order.sort_unstable();
+    let mut run_start = 0;
+    for (pos, &(metric, _, i)) in order.iter().enumerate() {
+        if metric != order[run_start].0 {
+            run_start = pos;
+        }
+        keep[i] = pos - run_start < WAIT_CAP;
+    }
+    keep
 }
 
 /// Drop every second element (keeping index 0, 2, 4, …); returns how
@@ -663,22 +727,29 @@ impl RunObserve {
     /// Record the provenance of one wait state.
     pub fn wait(&self, prov: WaitProvenance) {
         let mut data = self.data.borrow_mut();
-        let agg =
-            data.wait_aggs.entry((prov.metric.clone(), prov.waiter_path.clone())).or_default();
-        agg.count += 1;
-        agg.severity += prov.severity;
-        agg.noise_ns += prov.noise_ns;
+        data.add_wait_agg(&prov.metric, &prov.waiter_path, prov.severity, prov.noise_ns);
         data.waits.push(prov);
         if data.waits.len() >= LIVE_CAP {
             data.cap_waits();
         }
     }
 
-    /// Sum of positive noise magnitudes injected into `rank` within
-    /// `[from_ns, to_ns]` — the analysis joins wait windows against
-    /// this.
-    pub fn noise_in_window(&self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
-        self.data.borrow().noise_in_window(rank, from_ns, to_ns)
+    /// Record a wait state that [`wait_cap_candidates`] ruled out: it
+    /// counts in the exact per-(metric, call path) aggregates and as a
+    /// dropped record, exactly as if its full provenance had been
+    /// recorded and then capped away.
+    pub fn wait_dropped(&self, metric: &str, waiter_path: &str, severity: u64, noise_ns: u64) {
+        let mut data = self.data.borrow_mut();
+        data.add_wait_agg(metric, waiter_path, severity, noise_ns);
+        data.dropped_waits += 1;
+    }
+
+    /// Index the noise draws retained so far for window queries — the
+    /// analysis builds it once and joins every wait window against it.
+    /// Under live decimation the retained draws are a subset, so window
+    /// sums are lower bounds (as the `dropped` record says).
+    pub fn noise_windows(&self) -> NoiseWindows {
+        NoiseWindows::build(&self.data.borrow().draws)
     }
 
     /// Finish recording: compact and materialise the run's data.
@@ -749,9 +820,74 @@ mod tests {
         run.noise(NoiseKind::OsDetour, 1, 3, 0, "", 100, 50);
         run.noise(NoiseKind::MemJitter, 1, 3, 1, "", 200, -20);
         run.noise(NoiseKind::OsDetour, 2, 4, 0, "", 150, 99);
-        assert_eq!(run.noise_in_window(1, 0, 300), 50); // negative draw ignored
-        assert_eq!(run.noise_in_window(1, 150, 300), 0);
-        assert_eq!(run.noise_in_window(2, 0, 300), 99);
+        let windows = run.noise_windows();
+        assert_eq!(windows.noise_in_window(1, 0, 300), 50); // negative draw ignored
+        assert_eq!(windows.noise_in_window(1, 150, 300), 0);
+        assert_eq!(windows.noise_in_window(2, 0, 300), 99);
+        assert_eq!(windows.noise_in_window(1, 100, 100), 50); // inclusive edges
+        assert_eq!(windows.noise_in_window(1, 300, 0), 0); // empty window
+        assert_eq!(windows.noise_in_window(0, 0, 300), 0); // rank without draws
+        assert_eq!(windows.noise_in_window(7, 0, 300), 0); // rank beyond the table
+    }
+
+    /// Deterministic 64-bit generator (splitmix64).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+    }
+
+    #[test]
+    fn noise_window_index_matches_a_linear_scan() {
+        let run = RunObserve::new("r");
+        let mut g = Gen(17);
+        // Enough draws to trigger live decimation; rank 3 never draws,
+        // and times repeat and arrive out of order.
+        let total = LIVE_CAP as u64 + 20_000;
+        for i in 0..total {
+            let rank = [0, 1, 2, 4, 5][g.below(5) as usize];
+            let magnitude = g.below(1_000) as i64 - 500;
+            run.noise(NoiseKind::CpuJitter, rank, 0, i, "", g.below(10_000), magnitude);
+        }
+        assert!(run.data.borrow().dropped_draws > 0, "decimation must be exercised");
+        let draws = run.data.borrow().draws.clone();
+        let linear = |rank: u32, from: u64, to: u64| -> u64 {
+            draws
+                .iter()
+                .filter(|d| d.rank == rank && d.t_ns >= from && d.t_ns <= to)
+                .map(|d| d.magnitude_ns.max(0) as u64)
+                .sum()
+        };
+        let windows = run.noise_windows();
+        for _ in 0..500 {
+            let rank = g.below(7) as u32;
+            // Edges drawn from retained draw times half of the time.
+            let mut edge = || {
+                if g.below(2) == 0 {
+                    draws[g.below(draws.len() as u64) as usize].t_ns
+                } else {
+                    g.below(10_500)
+                }
+            };
+            let (from, to) = (edge(), edge()); // `from > to` about half of the time
+            assert_eq!(
+                windows.noise_in_window(rank, from, to),
+                linear(rank, from, to),
+                "rank {rank}, [{from}, {to}]"
+            );
+        }
+        assert_eq!(windows.noise_in_window(3, 0, u64::MAX), 0);
+        assert!(windows.noise_in_window(0, 0, u64::MAX) > 0);
     }
 
     #[test]
@@ -777,6 +913,50 @@ mod tests {
         // Most severe survived.
         assert!(data.waits.iter().any(|w| w.severity == WAIT_CAP as u64 + 9));
         assert!(!data.waits.iter().any(|w| w.severity < 10));
+    }
+
+    #[test]
+    fn recording_only_cap_candidates_matches_recording_everything() {
+        // One entry per analysis recorded into the run: the severity
+        // bound of its waits. Few distinct severities make ties common;
+        // unequal bounds make one batch supply every survivor.
+        for (seed, batches) in
+            [(5, vec![40]), (6, vec![40, 20]), (7, vec![10, 40]), (8, vec![30, 30])]
+        {
+            let mut g = Gen(seed);
+            let full = RunObserve::new("r");
+            let pruned = RunObserve::new("r");
+            for (batch, bound) in batches.into_iter().enumerate() {
+                let waits: Vec<WaitProvenance> = (0..400)
+                    .map(|i| WaitProvenance {
+                        metric: ["delay_mpi_latesender", "delay_mpi_wait_nxn", "delay_omp_barrier"]
+                            [g.below(3) as usize]
+                            .into(),
+                        waiter_loc: i,
+                        waiter_path: ["a", "a/b", "c"][g.below(3) as usize].into(),
+                        waiter_enter: (batch * 1_000 + i) as u64,
+                        severity: g.below(bound),
+                        delayer_loc: 1,
+                        delayer_path: "q".into(),
+                        delayer_enter: 0,
+                        noise_ns: g.below(100),
+                        chain: Vec::new(),
+                    })
+                    .collect();
+                let keep =
+                    wait_cap_candidates(waits.iter().map(|w| (w.metric.as_str(), w.severity)));
+                assert_eq!(keep.iter().filter(|&&k| k).count(), 3 * WAIT_CAP);
+                for (w, keep) in waits.into_iter().zip(keep) {
+                    if keep {
+                        pruned.wait(w.clone());
+                    } else {
+                        pruned.wait_dropped(&w.metric, &w.waiter_path, w.severity, w.noise_ns);
+                    }
+                    full.wait(w);
+                }
+            }
+            assert_eq!(full.finish(), pruned.finish(), "seed {seed}");
+        }
     }
 
     #[test]
@@ -818,7 +998,10 @@ mod tests {
             by_name.noise(NoiseKind::OsDetour, 1, 2, i, "cg", i, 9);
             by_id.noise_id(NoiseKind::OsDetour, 1, 2, i, cg, i, 9);
         }
-        assert_eq!(by_name.noise_in_window(1, 0, 499), by_id.noise_in_window(1, 0, 499));
+        assert_eq!(
+            by_name.noise_windows().noise_in_window(1, 0, 499),
+            by_id.noise_windows().noise_in_window(1, 0, 499)
+        );
         assert_eq!(by_name.finish(), by_id.finish());
     }
 

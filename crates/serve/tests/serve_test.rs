@@ -1,5 +1,6 @@
 //! End-to-end tests for `nrlt-serve` over real TCP sockets and the
-//! committed exemplar bundles under `results/`.
+//! committed exemplar bundles under `results/` (plus, for the full
+//! catalog, a telemetry bundle each test run writes itself).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -7,9 +8,48 @@ use std::path::{Path, PathBuf};
 
 use nrlt_serve::{Config, Server};
 use nrlt_telemetry::json::{self, Value};
+use nrlt_telemetry::{write_exports, Manifest, Telemetry};
 
 fn results_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// A fresh results root for the full-catalog test: copies of the
+/// committed exemplars plus a telemetry bundle written by a tiny
+/// in-process run. Telemetry bundles are not committed (they carry
+/// host timings), so the test makes its own instead of depending on a
+/// regenerated `results/telemetry/`.
+fn exemplar_root() -> PathBuf {
+    let root = std::env::temp_dir().join(format!("nrlt_serve_exemplars_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for rel in ["report/fig3", "observe/fig3", "engineprof/fig3"] {
+        copy_dir(&results_root().join(rel), &root.join(rel));
+    }
+    std::fs::copy(results_root().join("history.jsonl"), root.join("history.jsonl"))
+        .expect("copy history.jsonl");
+
+    let tel = Telemetry::new();
+    {
+        let _run = tel.span("experiment");
+        let _cell = tel.span("measure.run");
+        tel.add("exec.events", 42);
+    }
+    write_exports(&root.join("telemetry/fig3"), &tel, &Manifest::new("serve_test"))
+        .expect("write telemetry bundle");
+    root
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create bundle dir");
+    for entry in std::fs::read_dir(from).expect("read exemplar dir") {
+        let entry = entry.expect("dir entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).expect("copy exemplar file");
+        }
+    }
 }
 
 fn start(root: PathBuf) -> Server {
@@ -41,7 +81,8 @@ fn get_json(addr: std::net::SocketAddr, target: &str) -> (u16, Value) {
 
 #[test]
 fn every_endpoint_serves_the_committed_exemplars() {
-    let server = start(results_root());
+    let root = exemplar_root();
+    let server = start(root.clone());
     let addr = server.addr();
 
     let (status, catalog) = get_json(addr, "/bundles");
@@ -98,6 +139,7 @@ fn every_endpoint_serves_the_committed_exemplars() {
 
     server.shared().request_stop();
     server.join().unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]

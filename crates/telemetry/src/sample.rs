@@ -96,8 +96,8 @@ pub mod frames {
     /// Spilling trace chunks to the out-of-core segment store
     /// (`crates/trace/segment.rs`).
     pub const TRACE_SPILL: FrameId = 15;
-    /// K-way merge over per-location cursors during streaming analysis.
-    pub const ANALYZE_MERGE: FrameId = 16;
+    // Id 16 is retired (it named a k-way event merge that no analysis
+    // pass used); ids are never renumbered, so recorded ids stay valid.
     /// Pseudo-frame appended when a stack exceeded [`super::MAX_FRAMES`].
     pub const TRUNCATED: FrameId = 17;
 
@@ -119,7 +119,7 @@ pub mod frames {
         "experiment.merge",
         "harness",
         "measure.trace_spill",
-        "analysis.merge",
+        "(retired)",
         "(truncated)",
     ];
 
@@ -651,15 +651,24 @@ mod tests {
         let prof = SampleProf::with_rate(1000);
         let guard = prof.install();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let _f = frame(frames::MODE_CELL);
-                    assert!(attached());
-                    std::thread::sleep(Duration::from_millis(20));
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _f = frame(frames::MODE_CELL);
+                        assert!(attached());
+                        std::thread::sleep(Duration::from_millis(20));
+                    })
+                })
+                .collect();
+            // Join each handle: that waits for the OS thread to exit,
+            // thread-local destructors included. The scope's implicit
+            // join only waits for the closures to return, so it may
+            // wake before the destructors have run.
+            for w in workers {
+                w.join().unwrap();
             }
         });
-        // Scoped threads exited: their thread-local destructors released
+        // Worker threads exited: their thread-local destructors released
         // every slot.
         assert_eq!(prof.active_slots(), 0);
         assert!(prof.publishes() >= 4);

@@ -26,8 +26,8 @@ pub use defs::{
 pub use event::{CollectiveOp, Event, EventKind, NO_ROOT};
 pub use io::{decode, encode, DecodeError};
 pub use segment::{
-    temp_segment_path, MergedEvents, SegmentCursor, SegmentError, SegmentIndex, SegmentWriter,
-    SpillStats, SpilledTrace,
+    temp_segment_path, SegmentCursor, SegmentError, SegmentIndex, SegmentWriter, SpillStats,
+    SpilledTrace,
 };
 pub use store::{LocationEvents, TraceData, TraceView};
 pub use stream::EventStream;

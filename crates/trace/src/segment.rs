@@ -37,7 +37,6 @@
 //! memory ([`Definitions`]) exactly as on the resident path, so a
 //! spilled trace is `(defs, segment file)`.
 
-use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -550,82 +549,6 @@ impl Iterator for SegmentCursor {
     }
 }
 
-/// K-way merge over per-location event iterators, yielding
-/// `(location, event)` in global `(time, location)` order.
-///
-/// At most one event per location is buffered in the heap, so the
-/// merge's working set is O(locations) however large the trace. The
-/// peak heap occupancy is tracked for the engineprof gauges.
-pub struct MergedEvents<I> {
-    sources: Vec<I>,
-    heap: BinaryHeap<HeapItem>,
-    max_occupancy: usize,
-}
-
-struct HeapItem {
-    time: u64,
-    loc: u32,
-    ev: Event,
-}
-
-// Min-heap on (time, loc) via reversed Ord. Only one item per location
-// is ever enqueued, so the (time, loc) key is unique and the order
-// total and deterministic.
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &HeapItem) -> bool {
-        (self.time, self.loc) == (other.time, other.loc)
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &HeapItem) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &HeapItem) -> std::cmp::Ordering {
-        (other.time, other.loc).cmp(&(self.time, self.loc))
-    }
-}
-
-impl<I: Iterator<Item = Event>> MergedEvents<I> {
-    /// Build a merge over one iterator per location (index = location).
-    pub fn new(sources: Vec<I>) -> MergedEvents<I> {
-        let mut m = MergedEvents {
-            heap: BinaryHeap::with_capacity(sources.len()),
-            sources,
-            max_occupancy: 0,
-        };
-        for loc in 0..m.sources.len() {
-            m.refill(loc as u32);
-        }
-        m.max_occupancy = m.heap.len();
-        m
-    }
-
-    fn refill(&mut self, loc: u32) {
-        if let Some(ev) = self.sources[loc as usize].next() {
-            self.heap.push(HeapItem { time: ev.time, loc, ev });
-        }
-    }
-
-    /// Largest number of simultaneously buffered events observed.
-    pub fn max_heap_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-}
-
-impl<I: Iterator<Item = Event>> Iterator for MergedEvents<I> {
-    type Item = (u32, Event);
-
-    fn next(&mut self) -> Option<(u32, Event)> {
-        let item = self.heap.pop()?;
-        self.refill(item.loc);
-        self.max_occupancy = self.max_occupancy.max(self.heap.len());
-        Some((item.loc, item.ev))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,22 +778,6 @@ mod tests {
                 assert_eq!(index.chunk_lower_bound(0, t, hint), want, "t={t} hint={hint}");
             }
         }
-    }
-
-    #[test]
-    fn merge_orders_by_time_then_location() {
-        let a = vec![
-            Event::new(1, EventKind::Enter { region: RegionRef(0) }),
-            Event::new(5, EventKind::Leave { region: RegionRef(0) }),
-        ];
-        let b = vec![
-            Event::new(1, EventKind::Enter { region: RegionRef(1) }),
-            Event::new(3, EventKind::Leave { region: RegionRef(1) }),
-        ];
-        let mut merged = MergedEvents::new(vec![a.into_iter(), b.into_iter()]);
-        let order: Vec<(u32, u64)> = merged.by_ref().map(|(loc, ev)| (loc, ev.time)).collect();
-        assert_eq!(order, vec![(0, 1), (1, 1), (1, 3), (0, 5)]);
-        assert_eq!(merged.max_heap_occupancy(), 2);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl<'a> TraceView<'a> {
             }
         }
     }
-
-    /// One iterator per location, for k-way merges.
-    pub fn all_events(&self) -> Vec<LocationEvents<'a>> {
-        (0..self.n_locations()).map(|loc| self.events(loc)).collect()
-    }
 }
 
 /// Event iterator over one location of a [`TraceView`].
@@ -147,7 +142,7 @@ mod tests {
     use super::*;
     use crate::defs::{ClockKind, LocationDef, RegionDef, RegionRef, RegionRole};
     use crate::event::EventKind;
-    use crate::segment::{temp_segment_path, MergedEvents, SegmentWriter};
+    use crate::segment::{temp_segment_path, SegmentWriter};
     use crate::EventStream;
 
     fn defs(n_locs: u32) -> Definitions {
@@ -203,24 +198,6 @@ mod tests {
             let a: Vec<Event> = r.view().events(loc).collect();
             let b: Vec<Event> = s.view().events(loc).collect();
             assert_eq!(a, b, "location {loc}");
-        }
-    }
-
-    #[test]
-    fn merged_views_agree_and_bound_heap() {
-        let r = resident();
-        let s = spilled();
-        let mut mr = MergedEvents::new(r.view().all_events());
-        let mut ms = MergedEvents::new(s.view().all_events());
-        let a: Vec<(u32, Event)> = mr.by_ref().collect();
-        let b: Vec<(u32, Event)> = ms.by_ref().collect();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 30);
-        assert!(mr.max_heap_occupancy() <= 3);
-        assert_eq!(mr.max_heap_occupancy(), ms.max_heap_occupancy());
-        // Global order: time ascending, location breaking ties.
-        for w in a.windows(2) {
-            assert!((w[0].1.time, w[0].0) < (w[1].1.time, w[1].0));
         }
     }
 }

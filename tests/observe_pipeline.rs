@@ -102,3 +102,18 @@ fn no_handle_means_zero_observability_work() {
         assert_eq!(p.run_times, o.run_times);
     }
 }
+
+#[test]
+fn physical_wait_windows_join_injected_noise() {
+    let (_, bundle) = observed_bundle(1);
+    let name = tiny_instance().name;
+    // A tsc trace is timed in nanoseconds, so its wait windows on the
+    // delayer join the noise draws: the join must not collapse to 0.
+    let tsc = &bundle.runs[&format!("{name}:tsc:rep0")];
+    assert!(tsc.waits.iter().any(|w| w.noise_ns > 0), "no kept tsc wait joined any noise");
+    assert!(tsc.wait_aggs.values().any(|a| a.noise_ns > 0), "tsc wait aggregates carry no noise");
+    // Logical timestamps are not commensurable with noise times.
+    let logical = &bundle.runs[&format!("{name}:lt_stmt:rep0")];
+    assert!(!logical.waits.is_empty(), "no wait provenance recorded for lt_stmt");
+    assert!(logical.wait_aggs.values().all(|a| a.noise_ns == 0));
+}
